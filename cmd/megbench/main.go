@@ -2,10 +2,10 @@
 // (E1–E13, see DESIGN.md): every theorem, claim and corollary of the
 // paper is validated by simulation and printed as a table plus
 // pass/fail shape checks. With -suite it instead runs the benchmark
-// trajectory suite: a fixed set of named flooding scenarios timed with
-// the serial and the sharded engine on the same seeds, written as a
-// schema-versioned BENCH_<git-sha>.json (and failing if the engines'
-// results diverge).
+// trajectory suite: a fixed set of named flooding scenarios timed at
+// Parallelism 1 (the one-shard engine) and sharded on the same seeds,
+// written as a schema-versioned BENCH_<git-sha>.json (and failing if
+// the two runs' results diverge).
 //
 // Usage:
 //
@@ -20,7 +20,7 @@
 //	-seed N                      base RNG seed (default 1)
 //	-workers N                   parallelism (default: all CPUs)
 //	-par N                       intra-trial sharded-engine workers
-//	                             (0/1 = serial, -1 = all CPUs); results
+//	                             (0/1 = one shard, -1 = all CPUs); results
 //	                             are identical for every value
 //	-snapshot full|delta         per-round snapshot path (delta folds the
 //	                             models' edge churn into an incrementally
@@ -71,7 +71,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "base RNG seed")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = all CPUs)")
 	kernelFlag := flag.String("kernel", "auto", "flooding kernel: auto|push|pull (identical results per flooding call; pinning one also disables source batching in E4/E8)")
-	parallelism := flag.Int("par", 0, "intra-trial worker count of the sharded engine (0/1 = serial, -1 = all CPUs); results are identical for every value")
+	parallelism := flag.Int("par", 0, "intra-trial worker count of the shard engine (0/1 = one shard, -1 = all CPUs); results are identical for every value")
 	protoEngine := flag.String("proto-engine", "", "gossip engine for protocol experiments: kernel|reference (default kernel; results are identical)")
 	snapshotFlag := flag.String("snapshot", "", "per-round snapshot path for experiments: full|delta (results are identical)")
 	compareDir := flag.String("compare", "", "with -suite: diff the run against the newest bench/history BENCH file in this directory and print a regression table")

@@ -12,8 +12,8 @@ import (
 
 // runSuite executes the benchmark trajectory suite and writes
 // BENCH_<git-sha>.json into outDir. The process exits non-zero when the
-// sharded engine's results diverge from the serial engine's on the same
-// seeds — the file is still written first, so CI can upload the
+// sharded engine's results diverge from the one-shard engine's on the
+// same seeds — the file is still written first, so CI can upload the
 // evidence alongside the failure. With compareDir set, the run is also
 // diffed against the newest BENCH file there (the bench/history
 // trajectory) and a regression table printed on stdout — warnings

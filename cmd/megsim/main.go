@@ -46,7 +46,7 @@ func main() {
 	kernel := flag.String("kernel", "auto", "flooding kernel: auto|push|pull")
 	protoEngine := flag.String("engine", "", "protocol engine for non-flooding protocols: kernel|reference (default kernel; results are identical)")
 	batch := flag.Bool("batch", false, "batch each trial's sources bit-parallel over one realization")
-	parallelism := flag.Int("par", 0, "intra-trial worker count of the sharded engine (0/1 = serial, -1 = all CPUs); results are identical for every value")
+	parallelism := flag.Int("par", 0, "intra-trial worker count of the shard engine (0/1 = one shard, -1 = all CPUs); results are identical for every value")
 	snapshot := flag.String("snapshot", "", "per-round snapshot path: full|delta (delta maintains snapshots incrementally from the model's edge churn; results are identical)")
 	seed := flag.Uint64("seed", 1, "RNG seed")
 	trials := flag.Int("trials", 1, "independent trials")

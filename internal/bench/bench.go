@@ -1,6 +1,7 @@
 // Package bench is the benchmark trajectory recorder: a fixed suite of
-// named flooding scenarios, each run with the serial and the sharded
-// engine on the same seeds, timed, and emitted as a schema-versioned
+// named flooding scenarios, each run at Parallelism 1 (the "serial"
+// variant: the shard engine with one shard) and sharded on the same
+// seeds, timed, and emitted as a schema-versioned
 // BENCH_<git-sha>.json. CI runs the suite on every push and uploads the
 // file as an artifact, so the repository accumulates a measured speed
 // trajectory instead of anecdotes — and because serial and sharded
@@ -35,8 +36,8 @@ const SchemaVersion = 1
 
 // Scenario is one named workload of the suite. Spec carries the model,
 // trial, source, and engine configuration; the runner executes it once
-// with Parallelism 1 (serial baseline) and once with the sharded
-// engine, asserting byte-identical results.
+// with Parallelism 1 (the serial baseline: one shard) and once with
+// the sharded engine, asserting byte-identical results.
 type Scenario struct {
 	// Name is the stable scenario identifier (the trajectory key).
 	Name string `json:"name"`
@@ -309,7 +310,7 @@ func RunScenarios(scenarios []Scenario, opts Options) (*File, error) {
 }
 
 // runVariant executes one (scenario, parallelism) pair and measures it.
-// Flooding scenarios time the flooding engine serially vs sharded; for
+// Flooding scenarios time the engine at one shard vs sharded; for
 // gossip-family protocol scenarios the serial baseline runs the
 // internal/protocol reference implementation and the sharded run the
 // bitset kernel engine; for delta scenarios the serial baseline pins

@@ -7,19 +7,13 @@ import (
 	"meg/internal/par"
 )
 
-// ForBlockCells invokes fn for each distinct cell of c's 3×3 block on
-// a cellsPer×cellsPer grid, wrapping toroidally when torus is set.
-// Callers guarantee cellsPer ≥ 3 (smaller grids use brute force), so
-// the nine cells are distinct.
-func ForBlockCells(cellsPer int, torus bool, c int, fn func(cell int)) {
-	ForBlockCellsLayout(cellsPer, torus, nil, c, fn)
-}
-
-// ForBlockCellsLayout is ForBlockCells under an explicit cell layout:
-// with mo nil, cell indices are row-major (cy·k+cx); with a Morton
-// layout, c and the indices handed to fn are dense Z-order ranks. The
-// nine cells visited are the same geometric block either way — only
-// their numbering changes.
+// ForBlockCellsLayout invokes fn for each distinct cell of c's 3×3
+// block on a cellsPer×cellsPer grid, wrapping toroidally when torus is
+// set. Callers guarantee cellsPer ≥ 3 (smaller grids use brute force),
+// so the nine cells are distinct. With mo nil, cell indices are
+// row-major (cy·k+cx); with a Morton layout, c and the indices handed
+// to fn are dense Z-order ranks. The nine cells visited are the same
+// geometric block either way — only their numbering changes.
 func ForBlockCellsLayout(cellsPer int, torus bool, mo *Morton, c int, fn func(cell int)) {
 	k := cellsPer
 	var cx, cy int
@@ -57,19 +51,14 @@ type Blocks struct {
 	nbhd []int32
 }
 
-// Build recomputes the index from a cell list (starts/order in the
-// counting-sort layout both models produce: within a cell, node ids
-// ascend). Per-cell segments are disjoint, so the parallel rebuild is
+// BuildLayout recomputes the index from a cell list (starts/order in
+// the counting-sort layout both models produce: within a cell, node ids
+// ascend) under an explicit cell layout (nil = row-major; see
+// ForBlockCellsLayout). Each cell's merged segment is sorted by node id
+// regardless of layout, so downstream sweeps see identical candidate
+// lists — the layout only changes which segments are memory neighbors.
+// Per-cell segments are disjoint, so the parallel rebuild is
 // byte-identical for every worker count.
-func (b *Blocks) Build(cellsPer int, torus bool, starts, order []int32, workers int) {
-	b.BuildLayout(cellsPer, torus, nil, starts, order, workers)
-}
-
-// BuildLayout is Build under an explicit cell layout (nil = row-major;
-// see ForBlockCellsLayout). Each cell's merged segment is sorted by
-// node id regardless of layout, so downstream sweeps see identical
-// candidate lists — the layout only changes which segments are memory
-// neighbors.
 func (b *Blocks) BuildLayout(cellsPer int, torus bool, mo *Morton, starts, order []int32, workers int) {
 	cells := cellsPer * cellsPer
 	if len(b.offs) < cells+1 {
@@ -101,7 +90,8 @@ func (b *Blocks) BuildLayout(cellsPer int, torus bool, mo *Morton, starts, order
 }
 
 // After returns the ascending candidates v > u of the given cell's
-// block. The slice aliases the index and is valid until the next Build.
+// block. The slice aliases the index and is valid until the next
+// BuildLayout.
 func (b *Blocks) After(cell int32, u int) []int32 {
 	list := b.nbhd[b.offs[cell]:b.offs[cell+1]]
 	i := sort.Search(len(list), func(i int) bool { return list[i] > int32(u) })

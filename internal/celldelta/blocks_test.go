@@ -11,7 +11,7 @@ func TestForBlockCellsBounded(t *testing.T) {
 	k := 5
 	// Interior cell: all nine distinct neighbors.
 	var cells []int
-	ForBlockCells(k, false, 2*k+2, func(c int) { cells = append(cells, c) })
+	ForBlockCellsLayout(k, false, nil, 2*k+2, func(c int) { cells = append(cells, c) })
 	if len(cells) != 9 {
 		t.Fatalf("interior block has %d cells, want 9", len(cells))
 	}
@@ -22,7 +22,7 @@ func TestForBlockCellsBounded(t *testing.T) {
 	}
 	// Corner cell 0 without wrap: only the 2×2 quadrant.
 	cells = cells[:0]
-	ForBlockCells(k, false, 0, func(c int) { cells = append(cells, c) })
+	ForBlockCellsLayout(k, false, nil, 0, func(c int) { cells = append(cells, c) })
 	slices.Sort(cells)
 	if !slices.Equal(cells, []int{0, 1, k, k + 1}) {
 		t.Fatalf("corner block = %v, want %v", cells, []int{0, 1, k, k + 1})
@@ -32,7 +32,7 @@ func TestForBlockCellsBounded(t *testing.T) {
 func TestForBlockCellsTorus(t *testing.T) {
 	k := 4
 	var cells []int
-	ForBlockCells(k, true, 0, func(c int) { cells = append(cells, c) })
+	ForBlockCellsLayout(k, true, nil, 0, func(c int) { cells = append(cells, c) })
 	if len(cells) != 9 {
 		t.Fatalf("torus corner block has %d cells, want 9", len(cells))
 	}
@@ -77,7 +77,7 @@ func buildCellList(nodeCell []int32, cells int) (starts, order []int32) {
 // cell's 3×3 block strictly greater than u.
 func bruteAfter(nodeCell []int32, cellsPer int, torus bool, cell int32, u int) []int32 {
 	inBlock := map[int]bool{}
-	ForBlockCells(cellsPer, torus, int(cell), func(c int) { inBlock[c] = true })
+	ForBlockCellsLayout(cellsPer, torus, nil, int(cell), func(c int) { inBlock[c] = true })
 	var out []int32
 	for v, c := range nodeCell {
 		if inBlock[int(c)] && v > u {
@@ -99,7 +99,7 @@ func TestBlocksAfterMatchesBruteForce(t *testing.T) {
 			}
 			starts, order := buildCellList(nodeCell, k*k)
 			var b Blocks
-			b.Build(k, torus, starts, order, workers)
+			b.BuildLayout(k, torus, nil, starts, order, workers)
 			for u := 0; u < n; u += 7 {
 				cell := nodeCell[u]
 				got := b.After(cell, u)
@@ -124,17 +124,17 @@ func TestBlocksAfterMatchesBruteForce(t *testing.T) {
 }
 
 func TestBlocksRebuildReusesBuffers(t *testing.T) {
-	// A second Build over a smaller, different layout must fully
+	// A second BuildLayout over a smaller, different layout must fully
 	// replace the first index even though the buffers are recycled.
 	k := 4
 	var b Blocks
 	nodeCell1 := []int32{0, 0, 5, 10, 15, 15, 15}
 	s1, o1 := buildCellList(nodeCell1, k*k)
-	b.Build(k, true, s1, o1, 2)
+	b.BuildLayout(k, true, nil, s1, o1, 2)
 
 	nodeCell2 := []int32{3, 3, 3}
 	s2, o2 := buildCellList(nodeCell2, k*k)
-	b.Build(k, true, s2, o2, 1)
+	b.BuildLayout(k, true, nil, s2, o2, 1)
 	for c := int32(0); c < int32(k*k); c++ {
 		got := b.After(c, -1)
 		want := bruteAfter(nodeCell2, k, true, c, -1)
@@ -149,7 +149,7 @@ func TestBlocksEmptyCells(t *testing.T) {
 	k := 3
 	starts, order := buildCellList(nil, k*k)
 	var b Blocks
-	b.Build(k, false, starts, order, 3)
+	b.BuildLayout(k, false, nil, starts, order, 3)
 	for c := int32(0); c < int32(k*k); c++ {
 		if got := b.After(c, -1); len(got) != 0 {
 			t.Fatalf("empty grid block %d = %v, want empty", c, got)

@@ -7,6 +7,7 @@ import (
 
 	"meg/internal/bitset"
 	"meg/internal/graph"
+	"meg/internal/par"
 	"meg/internal/rng"
 )
 
@@ -67,20 +68,20 @@ func ParseGossip(name string) (GossipProtocol, error) {
 	}
 }
 
-// GossipOptions tunes a Gossip run. The zero value runs push gossip
-// semantics-compatible defaults serially.
+// GossipOptions tunes a Gossip run. The zero value is valid for push
+// and push-pull gossip and runs one shard on the calling goroutine.
 type GossipOptions struct {
 	// Beta is GossipProbFlood's forwarding probability in (0, 1].
 	Beta float64
 	// Loss is GossipLossyFlood's per-message loss probability in [0, 1).
 	Loss float64
-	// Parallelism is the intra-run worker count of the sharded engine
-	// (0 or 1 = serial, < 0 = all CPUs). Because every random decision
-	// is keyed by (node, round) — never by iteration order — the
-	// GossipResult is byte-identical for every value, including 1, and
-	// matches the reference implementations in internal/protocol on the
-	// same seeds. A Parallelizable dynamics receives the same worker
-	// count for its snapshot builds.
+	// Parallelism is the intra-run worker count, which is also the
+	// shard count of the engine (0 or 1 = one shard, < 0 = all CPUs).
+	// Because every random decision is keyed by (node, round) — never
+	// by iteration order — the GossipResult is byte-identical for every
+	// value, and matches the reference implementations in
+	// internal/protocol on the same seeds. A Parallelizable dynamics
+	// receives the same worker count for its snapshot builds.
 	Parallelism int
 	// Snapshot selects the per-round snapshot path (full rebuild vs
 	// incremental delta maintenance), with transparent fallback for
@@ -193,14 +194,7 @@ func Gossip(d Dynamics, proto GossipProtocol, source, maxRounds int, r *rng.RNG,
 	workers := engineWorkers(opt.Parallelism, d)
 	snap := newSnapshotter(d, opt.Snapshot, workers, opt.Hook)
 	defer snap.release()
-	var eng *gossipEngine
-	if workers > 1 {
-		eng = newGossipEngine(n, workers)
-		eng.hook = opt.Hook
-	}
-	// uninf is the serial lossy kernel's shrinking uninformed list (the
-	// sharded engine carries its own inside shardEngine).
-	var uninf activeSet
+	eng := newShardEngine(n, workers, opt.Hook)
 	// senders holds exactly the informed set in discovery order; for
 	// probabilistic flooding, active holds the subset still forwarding
 	// (its own buffer — it is rewritten every round while senders grows).
@@ -212,12 +206,6 @@ func Gossip(d Dynamics, proto GossipProtocol, source, maxRounds int, r *rng.RNG,
 	}
 	count := 1
 	newly := make([]int32, 0, 256)
-	// frontier is the serial kernels' private mark buffer for rounds
-	// whose decisions read the round-start informed set (push-pull).
-	var frontier []uint64
-	if eng == nil {
-		frontier = make([]uint64, (n+63)/64)
-	}
 
 	h := opt.Hook
 	for t := 0; ; t++ {
@@ -231,31 +219,15 @@ func Gossip(d Dynamics, proto GossipProtocol, source, maxRounds int, r *rng.RNG,
 		}
 		switch proto {
 		case GossipPush:
-			if eng != nil {
-				newly = eng.pushGossipRound(g, senders, informed, arrival, base, t, newly, &res.Messages)
-			} else {
-				newly = pushGossipRound(g, senders, informed, arrival, base, t, newly, &res.Messages)
-			}
+			newly = eng.pushGossipRound(g, senders, informed, arrival, base, t, newly, &res.Messages)
 		case GossipPushPull:
-			if eng != nil {
-				newly = eng.pushPullRound(g, informed, arrival, base, t, newly, &res.Messages)
-			} else {
-				newly = pushPullRound(g, frontier, informed, arrival, base, t, newly, &res.Messages)
-			}
+			newly = eng.pushPullRound(g, informed, arrival, base, t, newly, &res.Messages)
 		case GossipProbFlood:
 			res.Messages += degreeSum(g, active)
-			if eng != nil {
-				newly = eng.pushRound(g, active, informed, arrival, t, newly)
-			} else {
-				newly = probFloodRound(g, active, informed, arrival, t, newly)
-			}
+			newly = eng.pushRound(g, active, informed, arrival, t, newly)
 		case GossipLossyFlood:
 			res.Messages += degreeSum(g, senders)
-			if eng != nil {
-				newly = eng.lossyRound(g, informed, arrival, base, t, opt.Loss, newly, n-count)
-			} else {
-				newly = lossyRound(g, informed, arrival, base, t, opt.Loss, newly, &uninf, n-count)
-			}
+			newly = eng.lossyRound(g, informed, arrival, base, t, opt.Loss, newly, n-count)
 		}
 		if proto == GossipProbFlood {
 			// Freshly informed nodes decide once whether they forward,
@@ -310,127 +282,149 @@ func degreeSum(g *graph.Graph, nodes []int32) int64 {
 	return sum
 }
 
-// pushGossipRound is the serial push-gossip kernel: every sender draws
-// one uniformly random neighbor from its (node, round) stream and
-// transmits; uninformed targets join the informed set. Marking during
-// the scan is safe — push decisions never read the informed set, and
-// senders are extended only at the round boundary.
-func pushGossipRound(g *graph.Graph, senders []int32, informed *bitset.Set, arrival []int32, base uint64, t int, newly []int32, messages *int64) []int32 {
-	words := informed.MutableWords()
-	for _, u := range senders {
-		nbrs := g.Neighbors(int(u))
-		if len(nbrs) == 0 {
-			continue
-		}
-		*messages++
-		lr := rng.At(base, uint64(u), uint64(t))
-		v := nbrs[lr.Intn(len(nbrs))]
-		if words[v>>6]&(1<<(uint(v)&63)) == 0 {
-			words[v>>6] |= 1 << (uint(v) & 63)
-			arrival[v] = int32(t + 1)
-			newly = append(newly, v)
-		}
+// addMessages reduces the first `used` shards' message counters into
+// the run total (a sum, so shard order is immaterial).
+func (e *shardEngine) addMessages(used int, messages *int64) {
+	for shard := 0; shard < used; shard++ {
+		*messages += e.msgs[shard]
 	}
-	return newly
 }
 
-// pushPullRound is the serial push-pull kernel. Both directions read
-// the round-start informed set, so discoveries are buffered in the
-// frontier bitmap and merged only after the scan — the same synchrony
-// the reference enforces with its next bitset.
-func pushPullRound(g *graph.Graph, frontier []uint64, informed *bitset.Set, arrival []int32, base uint64, t int, newly []int32, messages *int64) []int32 {
+// pushGossipRound is the push-gossip kernel: the senders list is split
+// into contiguous shards, each worker drawing its senders' targets from
+// their (node, round) streams and marking uninformed hits in its
+// private frontier; the shared merge phase applies the union in node
+// order.
+func (e *shardEngine) pushGossipRound(g *graph.Graph, senders []int32, informed *bitset.Set, arrival []int32, base uint64, t int, newly []int32, messages *int64) []int32 {
+	words := informed.MutableWords()
+	e.reset()
+	used := e.workers
+	if used > len(senders) {
+		used = len(senders)
+	}
+	par.ForBlocks(e.workers, len(senders), func(shard, lo, hi int) {
+		f := e.frontiers[shard]
+		for i := range f {
+			f[i] = 0
+		}
+		var m int64
+		for _, u := range senders[lo:hi] {
+			nbrs := g.Neighbors(int(u))
+			if len(nbrs) == 0 {
+				continue
+			}
+			m++
+			lr := rng.At(base, uint64(u), uint64(t))
+			v := nbrs[lr.Intn(len(nbrs))]
+			if words[v>>6]&(1<<(uint(v)&63)) == 0 {
+				f[v>>6] |= 1 << (uint(v) & 63)
+			}
+		}
+		e.msgs[shard] = m
+	})
+	e.addMessages(used, messages)
+	return e.mergeFrontiers(e.frontiers[:used], words, arrival, t, newly)
+}
+
+// pushPullRound is the push-pull kernel: the node space is split into
+// contiguous ranges, every node draws its partner from its (node,
+// round) stream, and both push hits (anywhere in the node space) and
+// pull hits (the scanning node itself) go to the worker's private
+// frontier. The informed words are read-only during the scan —
+// all decisions see the round-start set — and the shared merge applies
+// the union after the join.
+func (e *shardEngine) pushPullRound(g *graph.Graph, informed *bitset.Set, arrival []int32, base uint64, t int, newly []int32, messages *int64) []int32 {
 	words := informed.MutableWords()
 	n := informed.Len()
-	for u := 0; u < n; u++ {
-		nbrs := g.Neighbors(u)
-		if len(nbrs) == 0 {
-			continue
-		}
-		lr := rng.At(base, uint64(u), uint64(t))
-		v := int(nbrs[lr.Intn(len(nbrs))])
-		*messages++
-		if words[u>>6]&(1<<(uint(u)&63)) != 0 {
-			if words[v>>6]&(1<<(uint(v)&63)) == 0 {
-				frontier[v>>6] |= 1 << (uint(v) & 63)
-			}
-		} else if words[v>>6]&(1<<(uint(v)&63)) != 0 {
-			frontier[u>>6] |= 1 << (uint(u) & 63)
-		}
+	e.reset()
+	used := e.workers
+	if used > n {
+		used = n
 	}
-	return mergeWords(frontier, words, arrival, t, newly)
-}
-
-// probFloodRound is the serial probabilistic-flood discovery pass: the
-// active nodes transmit to their whole neighborhoods (message count is
-// accounted by the caller via degreeSum). It is exactly the flooding
-// push kernel over the active list.
-func probFloodRound(g *graph.Graph, active []int32, informed *bitset.Set, arrival []int32, t int, newly []int32) []int32 {
-	words := informed.MutableWords()
-	for _, u := range active {
-		for _, v := range g.Neighbors(int(u)) {
-			if words[v>>6]&(1<<(uint(v)&63)) == 0 {
-				words[v>>6] |= 1 << (uint(v) & 63)
-				arrival[v] = int32(t + 1)
-				newly = append(newly, v)
+	par.ForBlocks(e.workers, n, func(shard, lo, hi int) {
+		f := e.frontiers[shard]
+		for i := range f {
+			f[i] = 0
+		}
+		var m int64
+		for u := lo; u < hi; u++ {
+			nbrs := g.Neighbors(u)
+			if len(nbrs) == 0 {
+				continue
+			}
+			lr := rng.At(base, uint64(u), uint64(t))
+			v := int(nbrs[lr.Intn(len(nbrs))])
+			m++
+			if words[u>>6]&(1<<(uint(u)&63)) != 0 {
+				if words[v>>6]&(1<<(uint(v)&63)) == 0 {
+					f[v>>6] |= 1 << (uint(v) & 63)
+				}
+			} else if words[v>>6]&(1<<(uint(v)&63)) != 0 {
+				f[u>>6] |= 1 << (uint(u) & 63)
 			}
 		}
-	}
-	return newly
+		e.msgs[shard] = m
+	})
+	e.addMessages(used, messages)
+	return e.mergeFrontiers(e.frontiers[:used], words, arrival, t, newly)
 }
 
-// lossyRound is the serial lossy-flood kernel, receiver-driven: every
-// uninformed node scans its adjacency for informed neighbors, drawing
-// the fate of each arriving copy from its own (node, round) stream and
-// stopping at the first delivery. The informed set is only read during
-// the scan; hits are applied after it, preserving synchrony. The
-// uninformed side is enumerated word-parallel from the informed
-// complement while large, and from the shrinking active-set list in
-// the straggler regime — same nodes, same ascending order, and every
-// delivery decision is keyed by (node, round), so the result is
-// byte-identical either way.
-func lossyRound(g *graph.Graph, informed *bitset.Set, arrival []int32, base uint64, t int, loss float64, newly []int32, act *activeSet, uninformed int) []int32 {
+// lossyRound is the lossy-flood kernel: the uninformed side is
+// split into contiguous shards — word ranges of the complement while
+// the uninformed set is large, ranges of the shrinking active-set list
+// in the straggler regime — each worker deciding its own nodes'
+// deliveries from their (node, round) streams (the whole per-node scan
+// lives inside one shard, so the stream is consumed in adjacency order
+// exactly as the internal/protocol reference does). Hits are applied
+// after the join, in shard order.
+func (e *shardEngine) lossyRound(g *graph.Graph, informed *bitset.Set, arrival []int32, base uint64, t int, loss float64, newly []int32, uninformed int) []int32 {
 	words := informed.MutableWords()
 	n := informed.Len()
-	start := len(newly)
-	if act.enabled(words, n, uninformed) {
-		for _, v := range act.nodes {
-			if scanLossy(g, words, int(v), base, t, loss) {
-				arrival[v] = int32(t + 1)
-				newly = append(newly, v)
+	e.reset()
+	if e.uninf.enabled(words, n, uninformed) {
+		list := e.uninf.nodes
+		par.ForBlocks(e.workers, len(list), func(shard, lo, hi int) {
+			out := e.newly[shard][:0]
+			for _, v := range list[lo:hi] {
+				if scanLossy(g, words, int(v), base, t, loss) {
+					arrival[v] = int32(t + 1)
+					out = append(out, v)
+				}
 			}
-		}
-		for _, v := range newly[start:] {
-			words[v>>6] |= 1 << (uint(v) & 63)
-		}
+			e.newly[shard] = out
+		})
+		start := len(newly)
+		newly = e.applyPull(words, newly)
 		if len(newly) > start {
 			// No deliveries → the list is unchanged; skip compaction.
-			act.compact(words)
+			e.uninf.compact(words)
 		}
 		return newly
 	}
-	for wi, w := range words {
-		rem := ^w
-		if rem == 0 {
-			continue
-		}
-		wbase := wi * 64
-		for rem != 0 {
-			b := bits.TrailingZeros64(rem)
-			rem &= rem - 1
-			v := wbase + b
-			if v >= n {
-				break
+	par.ForBlocks(e.workers, e.words, func(shard, lo, hi int) {
+		out := e.newly[shard][:0]
+		for wi := lo; wi < hi; wi++ {
+			rem := ^words[wi]
+			if rem == 0 {
+				continue
 			}
-			if scanLossy(g, words, v, base, t, loss) {
-				arrival[v] = int32(t + 1)
-				newly = append(newly, int32(v))
+			wbase := wi * 64
+			for rem != 0 {
+				b := bits.TrailingZeros64(rem)
+				rem &= rem - 1
+				v := wbase + b
+				if v >= n {
+					break
+				}
+				if scanLossy(g, words, v, base, t, loss) {
+					arrival[v] = int32(t + 1)
+					out = append(out, int32(v))
+				}
 			}
 		}
-	}
-	for _, v := range newly[start:] {
-		words[v>>6] |= 1 << (uint(v) & 63)
-	}
-	return newly
+		e.newly[shard] = out
+	})
+	return e.applyPull(words, newly)
 }
 
 // scanLossy decides whether uninformed node v receives the message in
@@ -449,30 +443,4 @@ func scanLossy(g *graph.Graph, words []uint64, v int, base uint64, t int, loss f
 		return true
 	}
 	return false
-}
-
-// mergeWords applies a frontier bitmap to the informed words, records
-// arrivals, appends the discoveries to newly in node order, and zeroes
-// the frontier for the next round.
-func mergeWords(frontier, words []uint64, arrival []int32, t int, newly []int32) []int32 {
-	for wi, f := range frontier {
-		if f == 0 {
-			continue
-		}
-		frontier[wi] = 0
-		m := f &^ words[wi]
-		if m == 0 {
-			continue
-		}
-		words[wi] |= m
-		wbase := wi * 64
-		for m != 0 {
-			b := bits.TrailingZeros64(m)
-			m &= m - 1
-			v := int32(wbase + b)
-			arrival[v] = int32(t + 1)
-			newly = append(newly, v)
-		}
-	}
-	return newly
 }

@@ -20,10 +20,11 @@ type Parallelizable interface {
 }
 
 // engineWorkers resolves an options Parallelism knob to a concrete
-// worker count and forwards it to the dynamics when supported.
+// worker (and shard) count and forwards it to the dynamics when
+// supported.
 func engineWorkers(parallelism int, d Dynamics) int {
 	if parallelism == 0 {
-		parallelism = 1 // zero value keeps the serial engine
+		parallelism = 1 // zero value runs one shard
 	}
 	workers := par.Workers(parallelism)
 	if pz, ok := d.(Parallelizable); ok {
@@ -32,29 +33,34 @@ func engineWorkers(parallelism int, d Dynamics) int {
 	return workers
 }
 
-// shardEngine holds the per-run scratch of the shard-parallel flooding
-// kernels: one private frontier bitmap per worker plus per-shard newly
-// lists. Every round runs as fork/join phases over contiguous shards —
-// senders are split by position for the push scan, the node space is
+// shardEngine holds the per-run scratch of the round kernels — the
+// flooding, gossip and lossy-flood engines all run on it: one private
+// frontier bitmap per worker plus per-shard newly lists and message
+// counters. Every round runs as fork/join phases over contiguous shards
+// — senders are split by position for the push scan, the node space is
 // split by word range for the merge and the pull scan — and shard
 // outputs are combined in shard order, so the informed set, arrival
 // times and trajectory come out byte-identical for every worker count.
+// One worker means one shard, run inline by par.ForBlocks.
 type shardEngine struct {
 	workers   int
 	words     int        // words of the node universe
 	frontiers [][]uint64 // per-worker private frontier bitmaps
 	newly     [][]int32  // per-shard newly-informed lists
+	msgs      []int64    // per-shard message counts of the gossip kernels
 	uninf     activeSet  // shrinking uninformed list of the pull kernels
 	hook      PhaseHook  // nil unless the run is instrumented
 }
 
-func newShardEngine(n, workers int) *shardEngine {
+func newShardEngine(n, workers int, hook PhaseHook) *shardEngine {
 	words := (n + 63) / 64
 	e := &shardEngine{
 		workers:   workers,
 		words:     words,
 		frontiers: make([][]uint64, workers),
 		newly:     make([][]int32, workers),
+		msgs:      make([]int64, workers),
+		hook:      hook,
 	}
 	for i := range e.frontiers {
 		e.frontiers[i] = make([]uint64, words)
@@ -73,7 +79,7 @@ func (e *shardEngine) reset() {
 	}
 }
 
-// pushRound is the sharded push kernel: phase 1 splits the senders of
+// pushRound is the push kernel: phase 1 splits the senders of
 // I_t into contiguous shards, each worker marking the uninformed
 // neighbors it discovers in its private frontier bitmap; phase 2 splits
 // the node space into contiguous word ranges, ORs the frontiers
@@ -153,20 +159,24 @@ func (e *shardEngine) mergeFrontiers(frontiers [][]uint64, words []uint64, arriv
 	return newly
 }
 
-// pullRound is the sharded pull kernel: the uninformed side is split
+// pullRound is the pull kernel: the uninformed side is split
 // into contiguous shards — word ranges of the complement while the
 // uninformed set is large, ranges of the shrinking active-set list in
 // the straggler regime — each worker testing its own nodes for an
 // informed neighbor (CSR walk, or word-parallel row intersection when
 // rows is non-nil) and recording hits in its shard's newly list. The
 // informed set is only read during the scan — hits are applied after
-// the join, in shard order, preserving the synchronous semantics and
-// worker-count independence of the serial kernel. Both enumerations
-// visit the same nodes ascending (list shards are contiguous slices of
-// an ascending list), so the result is byte-identical either way. With
-// the skip layer armed (see activeSet), each shard walks its slice but
-// probes only marked or churned nodes — the same candidate set the
-// serial kernel selects, since marks and stamps are round-start state.
+// the join, in shard order, so nodes discovered this round are not seen
+// as informed until the next one: the same synchronous semantics the
+// push kernel enforces via its senders list, for every worker count.
+// Both enumerations visit the same nodes ascending (list shards are
+// contiguous slices of an ascending list), so the result is
+// byte-identical either way. With the skip layer armed (see activeSet),
+// each shard walks its slice but probes only marked or churned nodes —
+// nodes adjacent to the previous frontier or whose row the churn
+// rebuilt; skipped nodes are provably still uninformed. Marks and
+// stamps are round-start state, so every worker count selects the same
+// candidates.
 func (e *shardEngine) pullRound(g *graph.Graph, rows *graph.DenseRows, informed *bitset.Set, arrival []int32, t int, newly []int32, uninformed int) []int32 {
 	words := informed.MutableWords()
 	n := informed.Len()
@@ -210,8 +220,9 @@ func (e *shardEngine) pullRound(g *graph.Graph, rows *graph.DenseRows, informed 
 		newly = e.applyPull(words, newly)
 		e.uninf.markNeighbors(g, newly[start:])
 		if len(newly) > start {
-			// No discoveries → the list is unchanged; skip the
-			// compaction walk (see the serial kernel).
+			// A round with no discoveries leaves the list untouched —
+			// skipping the compaction walk keeps stalled straggler
+			// rounds at O(candidates) instead of O(|list|).
 			e.uninf.compact(words)
 		}
 		return newly

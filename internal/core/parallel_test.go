@@ -35,8 +35,8 @@ func floodResultsEqual(t *testing.T, label string, a, b FloodResult) {
 }
 
 func TestFloodParallelismByteIdentical(t *testing.T) {
-	// The sharded engine must reproduce the serial engine exactly, for
-	// every worker count and kernel, on deterministic dynamics
+	// Every shard count must reproduce the one-shard run exactly, for
+	// every kernel, on deterministic dynamics
 	// (randomSequence replays identical snapshots to every run).
 	for _, n := range []int{5, 64, 65, 500, 2048} {
 		edgeP := 2.5 / float64(n)
@@ -77,8 +77,8 @@ func TestFloodMultiParallelismByteIdentical(t *testing.T) {
 }
 
 func TestFloodParallelIncomplete(t *testing.T) {
-	// A disconnected graph must leave the same nodes uninformed under
-	// both engines, and the round cap applies identically.
+	// A disconnected graph must leave the same nodes uninformed at
+	// every shard count, and the round cap applies identically.
 	b := graph.NewBuilder(10)
 	b.AddEdge(0, 1)
 	b.AddEdge(2, 3)

@@ -5,7 +5,7 @@ import "fmt"
 // Phase identifies one timed span of an engine round. The engines
 // bracket each span with BeginPhase/EndPhase on the run's PhaseHook
 // (when one is set), so an observer can attribute a round's wall time
-// to snapshot materialization, the kernel proper, the sharded merge,
+// to snapshot materialization, the kernel proper, the shard merge,
 // the chain advance, or the incremental delta apply.
 type Phase uint8
 
@@ -16,8 +16,10 @@ const (
 	// PhaseKernel is the round's frontier computation — the push/pull
 	// flooding kernels, a multi-group batch sweep, or a gossip kernel.
 	PhaseKernel
-	// PhaseMerge is the sharded flooding engine's frontier-merge span, a
-	// sub-span nested inside PhaseKernel (serial kernels never emit it).
+	// PhaseMerge is the shard engine's merge of shard outputs into the
+	// informed set, a sub-span nested inside PhaseKernel. Flooding and
+	// gossip rounds emit it at every Parallelism; the multi-source
+	// batch sweep has no merge and never does.
 	PhaseMerge
 	// PhaseStep is the chain advance G_t → G_{t+1}: Dynamics.Step, or
 	// DeltaDynamics.StepDelta on the delta path.

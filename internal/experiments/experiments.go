@@ -71,8 +71,8 @@ type Params struct {
 	// Kernels are result-equivalent, so this only changes speed — it
 	// exists so megbench can time and cross-check them.
 	Kernel core.Kernel
-	// Parallelism is the intra-trial worker count of the sharded
-	// flooding engine and model snapshot builds (0/1 = serial). Like
+	// Parallelism is the intra-trial worker count of the shard engine
+	// and model snapshot builds (0/1 = one worker). Like
 	// Kernel it is result-equivalent: it only changes speed.
 	Parallelism int
 	// ProtocolEngine selects the implementation protocol experiments

@@ -108,9 +108,10 @@ func TestParallelismIdenticalBatchedMulti(t *testing.T) {
 	}
 }
 
-// TestParallelismZeroMeansSerial pins the compatibility contract: the
-// zero value runs the serial engine and matches Parallelism 1 exactly.
-func TestParallelismZeroMeansSerial(t *testing.T) {
+// TestParallelismZeroMeansOne pins the compatibility contract: the
+// zero value runs the one-shard engine and matches Parallelism 1
+// exactly.
+func TestParallelismZeroMeansOne(t *testing.T) {
 	s := allModelSpecs(t)[0]
 	zero := runWithParallelism(t, s, 0, false)
 	one := runWithParallelism(t, s, 1, false)

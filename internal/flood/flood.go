@@ -70,10 +70,10 @@ type Options struct {
 	Seed uint64
 	// Workers bounds parallelism (default: all CPUs).
 	Workers int
-	// Parallelism is the intra-trial worker count of the sharded
-	// flooding engine and the models' parallel snapshot builds
+	// Parallelism is the intra-trial worker count of the shard
+	// engine and the models' parallel snapshot builds
 	// (core.FloodOptions.Parallelism). Results are byte-identical for
-	// every value; 0 or 1 keeps the serial kernels. Trial-level Workers
+	// every value; 0 or 1 runs one shard on the trial's goroutine. Trial-level Workers
 	// and intra-trial Parallelism multiply, so campaigns typically
 	// raise one or the other: many short trials want Workers, few huge
 	// trials want Parallelism.

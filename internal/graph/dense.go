@@ -25,24 +25,22 @@ func NewDenseRows(g *Graph) *DenseRows {
 
 // NewDenseRowsParallel is NewDenseRows on a worker pool: rows are
 // filled per contiguous node block, each worker writing only its own
-// rows, so the matrix is byte-identical to the serial build for every
-// worker count. workers <= 1 builds serially.
+// rows, so the matrix is byte-identical for every worker count. Graphs
+// under 256 nodes use one block.
 func NewDenseRowsParallel(g *Graph, workers int) *DenseRows {
 	stride := (g.n + 63) / 64
 	d := &DenseRows{n: g.n, stride: stride, words: make([]uint64, g.n*stride)}
-	fill := func(lo, hi int) {
+	if g.n < 256 {
+		workers = 1
+	}
+	par.ForBlocks(workers, g.n, func(_, lo, hi int) {
 		for u := lo; u < hi; u++ {
 			row := d.words[u*stride : (u+1)*stride]
 			for _, v := range g.Neighbors(u) {
 				row[v>>6] |= 1 << (uint(v) & 63)
 			}
 		}
-	}
-	if workers <= 1 || g.n < 256 {
-		fill(0, g.n)
-		return d
-	}
-	par.ForBlocks(workers, g.n, func(_, lo, hi int) { fill(lo, hi) })
+	})
 	return d
 }
 

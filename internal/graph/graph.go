@@ -239,8 +239,8 @@ type BlockSweep struct {
 // append edges in ascending block order and return the extended
 // slices), hands the blocks to b in block order, and builds the CSR
 // snapshot on the same pool. Because block concatenation reproduces the
-// serial left-to-right emission and BuildParallel is byte-identical to
-// Build, the snapshot is identical for every worker count.
+// single-block left-to-right emission and BuildParallel is
+// byte-identical for every worker count, so is the snapshot.
 func (bs *BlockSweep) Run(b *Builder, workers, items int, sweep func(lo, hi int, srcs, dsts []int32) ([]int32, []int32)) *Graph {
 	p := workers
 	if p > items {
@@ -261,52 +261,28 @@ func (bs *BlockSweep) Run(b *Builder, workers, items int, sweep func(lo, hi int,
 }
 
 // Build produces the CSR snapshot for the recorded edges using a
-// counting sort over endpoints; O(n + m) time.
+// counting sort over endpoints; O(n + m) time. It is BuildParallel
+// with one block.
 func (b *Builder) Build() *Graph {
-	n, m := b.n, len(b.srcs)
-	counts := b.counts[:n+1]
-	for i := range counts {
-		counts[i] = 0
-	}
-	for i := 0; i < m; i++ {
-		counts[b.srcs[i]+1]++
-		counts[b.dsts[i]+1]++
-	}
-	offs := make([]int32, n+1)
-	for i := 0; i < n; i++ {
-		offs[i+1] = offs[i] + counts[i+1]
-	}
-	adj := make([]int32, 2*m)
-	cursor := make([]int32, n)
-	copy(cursor, offs[:n])
-	for i := 0; i < m; i++ {
-		u, v := b.srcs[i], b.dsts[i]
-		adj[cursor[u]] = v
-		cursor[u]++
-		adj[cursor[v]] = u
-		cursor[v]++
-	}
-	return &Graph{n: n, offs: offs, adj: adj, mCount: m}
+	return b.BuildParallel(1)
 }
 
-// BuildParallel is Build on a worker pool. Both the degree count and
-// the adjacency scatter are parallelized over contiguous node blocks:
-// every worker scans the full edge list but touches only the counters
-// and adjacency slots of nodes in its own block, so writes never race
-// and — because each worker visits edges in the same global order the
-// serial scatter does — the produced CSR arrays are byte-identical to
-// Build's for every worker count. The extra work is one redundant edge
-// scan per worker, which memory bandwidth absorbs long before the
-// serial build's latency does.
-//
-// workers <= 1 falls back to the serial Build.
+// BuildParallel is the counting-sort CSR build on a worker pool. Both
+// the degree count and the adjacency scatter run over contiguous node
+// blocks: every worker scans the full edge list but touches only the
+// counters and adjacency slots of nodes in its own block, so writes
+// never race and — because each worker visits edges in the same global
+// order — the produced CSR arrays are byte-identical for every worker
+// count. The extra work is one redundant edge scan per extra block,
+// which memory bandwidth absorbs long before a single block's latency
+// does. One block runs inline on the calling goroutine.
 func (b *Builder) BuildParallel(workers int) *Graph {
 	workers = par.Workers(workers)
 	n, m := b.n, len(b.srcs)
 	// Below ~1M endpoint updates the fork/join overhead and the
-	// redundant scans cost more than the serial loop.
-	if workers <= 1 || m < 1<<19 || n == 0 {
-		return b.Build()
+	// redundant scans cost more than they save: use one block.
+	if m < 1<<19 {
+		workers = 1
 	}
 	offs := make([]int32, n+1)
 	adj := make([]int32, 2*m)

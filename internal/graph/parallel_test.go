@@ -40,9 +40,10 @@ func graphsIdentical(t *testing.T, a, b *Graph) {
 }
 
 func TestBuildParallelByteIdentical(t *testing.T) {
-	// BuildParallel must reproduce Build exactly — same counts, same
-	// offsets, same adjacency order — for every worker count. The edge
-	// list is made large enough to clear the parallel path's size gate.
+	// BuildParallel must reproduce the one-block Build exactly — same
+	// counts, same offsets, same adjacency order — for every worker
+	// count. The edge list is made large enough to clear the size gate
+	// that pins small builds to one block.
 	n := 300
 	b := randomBuilder(n, 1<<19, 5)
 	want := randomBuilder(n, 1<<19, 5).Build()

@@ -1,6 +1,7 @@
 package protocol_test
 
 import (
+	"fmt"
 	"testing"
 
 	"meg/internal/core"
@@ -41,46 +42,97 @@ func modelFactories(t *testing.T) map[string]func() core.Dynamics {
 
 func resultsEqual(t *testing.T, label string, ref protocol.Result, got core.GossipResult) {
 	t.Helper()
-	if ref.Rounds != got.Rounds || ref.Completed != got.Completed || ref.Messages != got.Messages {
-		t.Fatalf("%s: header diverged: reference {rounds %d completed %v msgs %d} vs kernel {rounds %d completed %v msgs %d}",
-			label, ref.Rounds, ref.Completed, ref.Messages, got.Rounds, got.Completed, got.Messages)
+	if ref.Messages != got.Messages {
+		t.Fatalf("%s: reference sent %d messages, kernel %d", label, ref.Messages, got.Messages)
 	}
-	if len(ref.Trajectory) != len(got.Trajectory) {
-		t.Fatalf("%s: trajectory lengths %d vs %d", label, len(ref.Trajectory), len(got.Trajectory))
+	runsEqual(t, label, ref, got.Rounds, got.Completed, got.Trajectory)
+}
+
+// runsEqual compares the rounds, completion and trajectory an engine
+// run reports against the reference run.
+func runsEqual(t *testing.T, label string, ref protocol.Result, rounds int, completed bool, traj []int) {
+	t.Helper()
+	if ref.Rounds != rounds || ref.Completed != completed {
+		t.Fatalf("%s: header diverged: reference {rounds %d completed %v} vs engine {rounds %d completed %v}",
+			label, ref.Rounds, ref.Completed, rounds, completed)
+	}
+	if len(ref.Trajectory) != len(traj) {
+		t.Fatalf("%s: trajectory lengths %d vs %d", label, len(ref.Trajectory), len(traj))
 	}
 	for i := range ref.Trajectory {
-		if ref.Trajectory[i] != got.Trajectory[i] {
-			t.Fatalf("%s: trajectory[%d] = %d vs %d", label, i, ref.Trajectory[i], got.Trajectory[i])
+		if ref.Trajectory[i] != traj[i] {
+			t.Fatalf("%s: trajectory[%d] = %d vs %d", label, i, ref.Trajectory[i], traj[i])
 		}
 	}
 }
+
+// snapshotModes is every per-round snapshot path the engines offer.
+var snapshotModes = []core.SnapshotMode{core.SnapshotFull, core.SnapshotDelta}
 
 // TestGossipKernelMatchesReference is the oracle gate of the gossip
 // engine: on every one of the seven models and every protocol, the
 // bitset kernel must reproduce the per-node reference implementation
 // byte for byte — same rounds, completion, trajectory, and message
-// count — at every parallelism level, because both draw every decision
-// from the same (node, round)-keyed streams.
+// count — at every parallelism level and on both snapshot paths,
+// because both draw every decision from the same (node, round)-keyed
+// streams and the delta path reproduces the full rebuild's snapshots.
 func TestGossipKernelMatchesReference(t *testing.T) {
+	cap := core.DefaultRoundCap(400)
 	for model, factory := range modelFactories(t) {
 		for _, tc := range gossipCases {
-			for _, par := range []int{1, 8} {
-				seed := rng.New(41)
-				cap := core.DefaultRoundCap(400)
-
-				dRef := factory()
-				dRef.Reset(seed.Split())
-				ref := tc.ref.Run(dRef, 3, cap, seed.Split())
-
-				seed = rng.New(41)
-				dKer := factory()
-				dKer.Reset(seed.Split())
-				opt := tc.opt
-				opt.Parallelism = par
-				got := core.Gossip(dKer, tc.proto, 3, cap, seed.Split(), opt)
-
-				resultsEqual(t, model+"/"+tc.name, ref, got)
+			seed := rng.New(41)
+			dRef := factory()
+			dRef.Reset(seed.Split())
+			ref := tc.ref.Run(dRef, 3, cap, seed.Split())
+			for _, snap := range snapshotModes {
+				for _, par := range []int{1, 8} {
+					seed = rng.New(41)
+					dKer := factory()
+					dKer.Reset(seed.Split())
+					opt := tc.opt
+					opt.Parallelism = par
+					opt.Snapshot = snap
+					got := core.Gossip(dKer, tc.proto, 3, cap, seed.Split(), opt)
+					resultsEqual(t, fmt.Sprintf("%s/%s/%s/p%d", model, tc.name, snap, par), ref, got)
+				}
 			}
+		}
+	}
+}
+
+// TestFloodEngineMatchesReference is the oracle gate of the flooding
+// engine: on every one of the seven models, core.FloodOpt must
+// reproduce the per-node reference protocol.Flooding — same rounds,
+// completion and trajectory — for every kernel, parallelism level and
+// snapshot path. The list leg pins the active-set crossover to 1, so
+// every pull round walks the uninformed list (and, on the delta path,
+// the skip layer's row-stamp filter) instead of the complement scan.
+func TestFloodEngineMatchesReference(t *testing.T) {
+	const source = 3
+	cap := core.DefaultRoundCap(400)
+	for model, factory := range modelFactories(t) {
+		seed := rng.New(43)
+		dRef := factory()
+		dRef.Reset(seed.Split())
+		ref := protocol.Flooding{}.Run(dRef, source, cap, seed.Split())
+		for _, list := range []bool{false, true} {
+			func() {
+				if list {
+					defer core.SetActiveSetFracForTest(1)()
+				}
+				for _, snap := range snapshotModes {
+					for _, par := range []int{1, 8} {
+						for _, kernel := range []core.Kernel{core.KernelAuto, core.KernelPush, core.KernelPull} {
+							seed := rng.New(43)
+							d := factory()
+							d.Reset(seed.Split())
+							got := core.FloodOpt(d, source, cap, core.FloodOptions{Kernel: kernel, Parallelism: par, Snapshot: snap})
+							label := fmt.Sprintf("%s/%s/%s/p%d/list=%v", model, kernel, snap, par, list)
+							runsEqual(t, label, ref, got.Rounds, got.Completed, got.Trajectory)
+						}
+					}
+				}
+			}()
 		}
 	}
 }

@@ -173,9 +173,9 @@ type Spec struct {
 	// hint: excluded from the content hash, so the same spec run with
 	// different parallelism still hits the same cache entry.
 	Workers int `json:"workers,omitempty"`
-	// Parallelism is the intra-trial worker count of the sharded
-	// flooding engine and the models' parallel snapshot builds
-	// (0 or 1 = serial, -1 = all CPUs). Like Workers it is an execution
+	// Parallelism is the intra-trial worker count of the shard engine
+	// and the models' parallel snapshot builds (0 or 1 = one worker,
+	// -1 = all CPUs). Like Workers it is an execution
 	// hint: results are byte-identical for every value, so it is
 	// excluded from the content hash and stripped from cached results.
 	Parallelism int `json:"parallelism,omitempty"`
@@ -268,7 +268,7 @@ func (s Spec) Canonical() (Spec, error) {
 		return Spec{}, fmt.Errorf("spec: workers %d must be non-negative", s.Workers)
 	}
 	if s.Parallelism < -1 {
-		return Spec{}, fmt.Errorf("spec: parallelism %d must be -1 (all CPUs), 0/1 (serial), or a worker count", s.Parallelism)
+		return Spec{}, fmt.Errorf("spec: parallelism %d must be -1 (all CPUs), 0/1 (one worker), or a worker count", s.Parallelism)
 	}
 	switch s.ProtocolEngine {
 	case "", "kernel", "reference":
